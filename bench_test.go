@@ -1,7 +1,8 @@
 package incompletedb
 
 // Benchmark harness: one benchmark (family) per reproduced table/figure of
-// the paper, as indexed in DESIGN.md, plus ablations on the substrate.
+// the paper, named by the experiment IDs of internal/experiments (E-P5.2,
+// …), plus ablations on the substrate.
 //
 //	go test -bench=. -benchmem
 //

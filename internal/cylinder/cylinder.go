@@ -9,8 +9,10 @@
 // constants) — a cylinder: a set of valuations of product form. The
 // satisfying valuations of q are exactly the union of its cylinders, so
 //
-//   - the exact count can be computed by inclusion–exclusion over cylinders
-//     (exponential in the number of cylinders; used for cross-validation),
+//   - the exact count can be computed by inclusion–exclusion over cylinders,
+//     exponential in the number of cylinders: the planner's production
+//     route for #Val of a (U)BCQ with few cylinders (plan.DefaultMaxCylinders),
+//     run by a compiled, allocation-free term kernel (kernel.go),
 //   - and the Karp–Luby estimator samples cylinders proportionally to their
 //     weights (implemented in package approx).
 package cylinder
@@ -78,6 +80,9 @@ type Set struct {
 	db        *core.Database
 	Cylinders []*Cylinder
 	freeOf    []map[core.NullID]bool // per cylinder: nulls not constrained
+
+	compileOnce sync.Once
+	compiled    *kernel
 }
 
 // MaxCylinders bounds cylinder construction: the number of cylinders is the
@@ -356,206 +361,41 @@ func (s *Set) CountContaining(v core.Valuation) int {
 }
 
 // MaxUnionCylinders is the absolute limit of the inclusion–exclusion
-// counter: 2^30 subset terms is already hours of work, but with
-// cancellation a caller raising the dispatcher's (configurable) cap can
-// choose to wait — beyond this the loop could not terminate in practice.
+// counter: 2^30 subset terms is minutes of work even for the compiled
+// kernel, but with cancellation a caller raising the dispatcher's
+// (configurable) cap can choose to wait — beyond this the loop could not
+// terminate in practice.
 // The planner clamps its configurable cap to this value.
 const MaxUnionCylinders = 30
 
-// cancelCheckMasks is the number of subset terms evaluated between polls
-// of the cancellation context.
-const cancelCheckMasks = 1024
-
 // UnionCount computes |∪_j C_j| — the exact number of satisfying
-// valuations — by inclusion–exclusion over the cylinders. It is exponential
-// in the number of cylinders and guarded accordingly; it exists to
-// cross-validate the brute-force and Karp–Luby counters (the SpanL
-// "distinct witnesses" semantics of Proposition 5.2 made executable).
+// valuations — by inclusion–exclusion over the cylinders: the SpanL
+// "distinct witnesses" semantics of Proposition 5.2 made executable. It
+// is exponential in the number of cylinders and guarded accordingly; the
+// planner routes #Val here when a query has few cylinders.
 func (s *Set) UnionCount() (*big.Int, error) {
-	return s.UnionCountContext(context.Background())
+	return s.UnionCountParallel(context.Background(), 1)
 }
 
 // UnionCountContext is UnionCount with cancellation: the 2^m subset loop
-// polls ctx every cancelCheckMasks terms and returns its error shortly
-// after it is done, like the sweep shards of internal/count do.
+// polls ctx once per chunk of 2^chunkBits terms and returns its error
+// shortly after it is done, like the sweep shards of internal/count do.
 func (s *Set) UnionCountContext(ctx context.Context) (*big.Int, error) {
-	m := len(s.Cylinders)
-	if m > MaxUnionCylinders {
-		return nil, fmt.Errorf("cylinder: inclusion–exclusion over %d cylinders is too large (limit %d)", m, MaxUnionCylinders)
-	}
-	total := big.NewInt(0)
-	for mask := 1; mask < 1<<uint(m); mask++ {
-		if mask%cancelCheckMasks == 0 && ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		w := s.intersectionWeight(mask)
-		if popcount(mask)%2 == 1 {
-			total.Add(total, w)
-		} else {
-			total.Sub(total, w)
-		}
-	}
-	return total, ctx.Err()
+	return s.UnionCountParallel(ctx, 1)
 }
 
 // UnionCountParallel is UnionCountContext sharded across workers: the
-// [1, 2^m) subset range is split into contiguous chunks, each worker
-// accumulates the signed terms of its chunk into a local big.Int, and the
-// per-chunk sums are merged in chunk index order. big.Int addition is
-// exact, so the result is bit-identical to the serial loop regardless of
-// worker count. Small ranges and workers ≤ 1 fall back to the serial
-// implementation.
+// subset terms are split into contiguous ranges of chunks, each worker
+// tallies the signed terms of its range exactly, and the tallies are
+// merged in range order, so the result is bit-identical to the serial
+// loop regardless of worker count. A range is at least one chunk, so
+// sets of at most chunkBits cylinders run on the calling goroutine.
+//
+// The first call compiles the set into a dense kernel (see kernel); the
+// Cylinders must not be modified after it.
 func (s *Set) UnionCountParallel(ctx context.Context, workers int) (*big.Int, error) {
-	m := len(s.Cylinders)
-	if m > MaxUnionCylinders {
+	if m := len(s.Cylinders); m > MaxUnionCylinders {
 		return nil, fmt.Errorf("cylinder: inclusion–exclusion over %d cylinders is too large (limit %d)", m, MaxUnionCylinders)
 	}
-	nmasks := 1<<uint(m) - 1 // subset terms: masks 1 .. 2^m-1
-	if workers > nmasks {
-		workers = nmasks
-	}
-	if workers <= 1 || nmasks < 2*cancelCheckMasks {
-		return s.UnionCountContext(ctx)
-	}
-	sums := make([]*big.Int, workers)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := 1 + w*nmasks/workers
-		hi := 1 + (w+1)*nmasks/workers
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			total := big.NewInt(0)
-			for mask := lo; mask < hi; mask++ {
-				if mask%cancelCheckMasks == 0 && ctx.Err() != nil {
-					errs[w] = ctx.Err()
-					return
-				}
-				t := s.intersectionWeight(mask)
-				if popcount(mask)%2 == 1 {
-					total.Add(total, t)
-				} else {
-					total.Sub(total, t)
-				}
-			}
-			sums[w] = total
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	total := big.NewInt(0)
-	for w := 0; w < workers; w++ {
-		if errs[w] != nil {
-			return nil, errs[w]
-		}
-		total.Add(total, sums[w])
-	}
-	return total, ctx.Err()
-}
-
-func popcount(x int) int {
-	c := 0
-	for x != 0 {
-		x &= x - 1
-		c++
-	}
-	return c
-}
-
-// intersectionWeight computes the weight of the intersection of the
-// cylinders selected by mask: merge all equality classes (union-find over
-// nulls) intersecting the allowed sets.
-func (s *Set) intersectionWeight(mask int) *big.Int {
-	parent := make(map[core.NullID]core.NullID)
-	var find func(n core.NullID) core.NullID
-	find = func(n core.NullID) core.NullID {
-		p, ok := parent[n]
-		if !ok {
-			parent[n] = n
-			return n
-		}
-		if p == n {
-			return n
-		}
-		r := find(p)
-		parent[n] = r
-		return r
-	}
-	allowed := make(map[core.NullID][]string) // root -> allowed values
-	merge := func(a, b core.NullID) {
-		ra, rb := find(a), find(b)
-		if ra == rb {
-			return
-		}
-		av, aok := allowed[ra]
-		bv, bok := allowed[rb]
-		parent[ra] = rb
-		switch {
-		case aok && bok:
-			allowed[rb] = intersectSorted(av, bv)
-		case aok:
-			allowed[rb] = av
-		}
-		delete(allowed, ra)
-	}
-	restrict := func(n core.NullID, vals []string) {
-		r := find(n)
-		if cur, ok := allowed[r]; ok {
-			allowed[r] = intersectSorted(cur, vals)
-		} else {
-			allowed[r] = vals
-		}
-	}
-	for i, c := range s.Cylinders {
-		if mask&(1<<uint(i)) == 0 {
-			continue
-		}
-		for _, cl := range c.Classes {
-			first := cl.Nulls[0]
-			for _, n := range cl.Nulls[1:] {
-				merge(first, n)
-			}
-			restrict(first, cl.Allowed)
-		}
-	}
-	// Weight: product over roots of |allowed ∩ (domains)|; allowed sets
-	// already embed domain intersections of their own nulls, but merging
-	// may have united nulls whose pairwise domain intersection matters —
-	// recompute per root over all member nulls to be safe.
-	members := make(map[core.NullID][]core.NullID)
-	for n := range parent {
-		members[find(n)] = append(members[find(n)], n)
-	}
-	w := big.NewInt(1)
-	for r, ns := range members {
-		vals := intersectDomains(s.db, ns)
-		if av, ok := allowed[r]; ok {
-			vals = intersectSorted(vals, av)
-		}
-		if len(vals) == 0 {
-			return big.NewInt(0)
-		}
-		w.Mul(w, big.NewInt(int64(len(vals))))
-	}
-	// Free nulls.
-	for _, n := range s.db.Nulls() {
-		if _, bound := parent[n]; !bound {
-			w.Mul(w, big.NewInt(int64(len(s.db.Domain(n)))))
-		}
-	}
-	return w
-}
-
-func intersectSorted(a, b []string) []string {
-	set := make(map[string]bool, len(b))
-	for _, x := range b {
-		set[x] = true
-	}
-	var out []string
-	for _, x := range a {
-		if set[x] {
-			out = append(out, x)
-		}
-	}
-	return out
+	return s.kernel().unionCount(ctx, workers)
 }

@@ -1,8 +1,8 @@
 // Package experiments implements the reproduction harness: one experiment
-// per table, figure, worked example and constructive result of the paper
-// (see DESIGN.md for the experiment index). Each experiment reports the
-// paper's claim next to the measured outcome so EXPERIMENTS.md can be
-// regenerated mechanically via `incdb experiments`.
+// per table, figure, worked example and constructive result of the paper,
+// each identified by the result it reproduces (E-P5.2 for Proposition
+// 5.2, …). Each experiment reports the paper's claim next to the measured
+// outcome; `incdb experiments` prints the whole report.
 package experiments
 
 import (

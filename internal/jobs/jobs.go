@@ -191,7 +191,8 @@ type Job struct {
 // ID returns the job's immutable identifier.
 func (j *Job) ID() string { return j.rec.ID }
 
-// Done is closed when the job's work has fully stopped.
+// Done is closed when the job's work has fully stopped and its final
+// record has been persisted.
 func (j *Job) Done() <-chan struct{} { return j.done }
 
 // Snapshot returns a consistent copy of the job's record.
@@ -303,7 +304,8 @@ type Manager struct {
 
 	stop     chan struct{}
 	stopOnce sync.Once
-	wg       sync.WaitGroup
+	wg       sync.WaitGroup // the ticker
+	runs     sync.WaitGroup // job goroutines: one Add per m.running++
 }
 
 // New returns a Manager and starts its persistence/GC ticker.
@@ -327,21 +329,28 @@ func New(cfg Config) *Manager {
 	return m
 }
 
-// Close stops the background ticker and cancels every running job. It
-// does not wait for RunFuncs to return and does not checkpoint — use
-// Drain first for a graceful stop.
+// Close stops the manager: admission stops, the background ticker
+// stops, every running job is cancelled, and Close returns only once
+// every job goroutine has exited and persisted its final record. As
+// under Drain, a running job cancelled by Close (not by a client) is
+// persisted as a resumable running record at its final checkpoint, and
+// queued jobs stay queued in the store, so a manager recovering from the
+// same store resumes them. Close waits for RunFuncs to honour their
+// context; use Drain first to bound the wait with a deadline.
 func (m *Manager) Close() {
-	m.stopOnce.Do(func() { close(m.stop) })
-	m.wg.Wait()
 	m.mu.Lock()
+	m.draining = true
 	states := make([]*Job, 0, len(m.jobs))
 	for _, j := range m.jobs {
 		states = append(states, j)
 	}
 	m.mu.Unlock()
+	m.stopOnce.Do(func() { close(m.stop) })
+	m.wg.Wait()
 	for _, j := range states {
 		j.cancel()
 	}
+	m.runs.Wait()
 }
 
 // tick periodically checkpoints running jobs to the store and evicts
@@ -466,6 +475,7 @@ func (m *Manager) Submit(req json.RawMessage, run RunFunc) (*Job, error) {
 	if canRun {
 		j.rec.Status = StatusRunning
 		m.running++
+		m.runs.Add(1)
 	} else {
 		j.rec.Status = StatusQueued
 		m.queue = append(m.queue, j)
@@ -528,9 +538,11 @@ func (m *Manager) newJobLocked(req json.RawMessage, run RunFunc) *Job {
 	return j
 }
 
-// start launches the job's RunFunc (the job is already StatusRunning).
+// start launches the job's RunFunc (the job is already StatusRunning and
+// counted in m.runs).
 func (m *Manager) start(j *Job) {
 	go func() {
+		defer m.runs.Done()
 		res, err := j.run(j.ctx, j)
 		m.finish(j, res, err)
 	}()
@@ -539,12 +551,13 @@ func (m *Manager) start(j *Job) {
 // finish settles a job whose RunFunc returned, persists its final
 // record, frees its slot and starts the next queued job if any.
 //
-// A cancellation during drain (and not requested by a client) is the one
-// non-terminal outcome: the record keeps StatusRunning with its final
-// checkpoint, so the store describes a job the next process must resume.
+// A cancellation during shutdown (Drain, Close, or the base context
+// ending) and not requested by a client is the one non-terminal outcome:
+// the record keeps StatusRunning with its final checkpoint, so the store
+// describes a job the next process must resume.
 func (m *Manager) finish(j *Job, res json.RawMessage, err error) {
 	m.mu.Lock()
-	draining := m.draining
+	shutdown := m.draining || m.base.Err() != nil
 	m.mu.Unlock()
 	j.mu.Lock()
 	cancelled := errors.Is(err, context.Canceled) || j.ctx.Err() != nil
@@ -558,7 +571,7 @@ func (m *Manager) finish(j *Job, res json.RawMessage, err error) {
 		}
 		j.rec.Checkpoint = nil
 		j.rec.CheckpointAt = time.Time{}
-	case cancelled && draining && !j.userCancel:
+	case cancelled && shutdown && !j.userCancel:
 		// The sweep's final flush has landed in the checkpointer; capture
 		// it so the persisted record resumes exactly here.
 		j.captureCheckpointLocked(m.now())
@@ -574,9 +587,11 @@ func (m *Manager) finish(j *Job, res json.RawMessage, err error) {
 		j.rec.FinishedAt = m.now()
 	}
 	j.mu.Unlock()
+	// Persist before signalling Done, so a waiter on Done (Drain among
+	// them) finds the final record already in the store.
+	m.persist(j)
 	close(j.done)
 	j.cancel()
-	m.persist(j)
 	m.mu.Lock()
 	m.running--
 	if terminal {
@@ -590,6 +605,7 @@ func (m *Manager) finish(j *Job, res json.RawMessage, err error) {
 		next.rec.Status = StatusRunning
 		next.mu.Unlock()
 		m.running++
+		m.runs.Add(1)
 	}
 	m.mu.Unlock()
 	if next != nil {
@@ -683,7 +699,7 @@ func (m *Manager) Cancel(id string) (*Job, bool) {
 // running jobs are cancelled and — once their sweeps have flushed their
 // final positions — persisted as resumable running records; queued jobs
 // stay queued in the store. Blocks until every running job has stopped
-// or ctx expires.
+// and persisted its final record, or ctx expires.
 func (m *Manager) Drain(ctx context.Context) {
 	m.mu.Lock()
 	m.draining = true
@@ -794,6 +810,7 @@ func (m *Manager) resubmit(rec *Record, run RunFunc) bool {
 	if canRun {
 		j.rec.Status = StatusRunning
 		m.running++
+		m.runs.Add(1)
 	} else {
 		j.rec.Status = StatusQueued
 		m.queue = append(m.queue, j)
@@ -806,7 +823,7 @@ func (m *Manager) resubmit(rec *Record, run RunFunc) bool {
 	return true
 }
 
-// Draining reports whether Drain has been called.
+// Draining reports whether Drain or Close has been called.
 func (m *Manager) Draining() bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()

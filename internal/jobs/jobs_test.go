@@ -289,6 +289,52 @@ func TestDrainKeepsRunningResumable(t *testing.T) {
 	}
 }
 
+// TestCloseIsResumableBarrier: Close returns only after the running
+// job's goroutine has persisted its final record, and that record is
+// resumable (running, at the checkpoint flushed on cancellation), as
+// under Drain; a queued job stays queued in the store.
+func TestCloseIsResumableBarrier(t *testing.T) {
+	store := NewMemStore()
+	m := New(Config{MaxConcurrent: 1, Store: store})
+	started := make(chan struct{})
+	j1, err := m.Submit(json.RawMessage(`{"q":1}`), func(ctx context.Context, j *Job) (json.RawMessage, error) {
+		j.SetCheckpointSource(func() json.RawMessage { return json.RawMessage(`{"pos":"1"}`) })
+		close(started)
+		<-ctx.Done()
+		// The sweep's final flush lands after the cancellation.
+		j.SetCheckpointSource(func() json.RawMessage { return json.RawMessage(`{"pos":"2"}`) })
+		return nil, ctx.Err()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	run2, _ := blockingRun("b")
+	j2, err := m.Submit(json.RawMessage(`{"q":2}`), run2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Close()
+
+	recs, err := store.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]*Record{}
+	for _, r := range recs {
+		got[r.ID] = r
+	}
+	if r := got[j1.ID()]; r == nil || r.Status != StatusRunning || string(r.Checkpoint) != `{"pos":"2"}` {
+		t.Fatalf("running job after Close: %+v, want a running record at the final checkpoint", r)
+	}
+	if r := got[j2.ID()]; r == nil || r.Status != StatusQueued {
+		t.Fatalf("queued job after Close: %+v, want queued", r)
+	}
+	if _, err := m.Submit(nil, nil); !errors.Is(err, ErrDraining) {
+		t.Fatalf("submit after Close: %v, want ErrDraining", err)
+	}
+}
+
 // TestRecoverResumesLiveJobs: a fresh manager over the old manager's
 // store resubmits running and queued records (marked Resumed) and adopts
 // terminal ones for retention.
