@@ -164,45 +164,141 @@ func TestDistRangeMultiplier(t *testing.T) {
 	}
 }
 
-// TestDistRangeCheckpointInterchangeable: a lease table is a plain
-// SweepCheckpoint, so a partially distributed job can be finished by a
-// local checkpointed sweep — the fallback path when every worker is gone.
-func TestDistRangeCheckpointInterchangeable(t *testing.T) {
-	db := core.NewUniformDatabase([]string{"a", "b"})
-	for i := 1; i <= 10; i++ { // 1024 valuations
-		db.MustAddFact("R", core.Null(core.NullID(i)))
-	}
-	q := cq.MustParseBCQ("R(x)")
-	want, err := BruteForceValuations(db, q, &Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := distEngine(t, db, q, false)
-	cp := NewSweepCheckpoint(eng.Size(), 4, false)
-	// Distribute only the first two leases, then hand the half-done table
-	// to a local resumed sweep.
-	for i := 0; i < 2; i++ {
-		final, err := SweepShardRange(context.Background(), eng, cp.Shards[i], 0, nil)
-		if err != nil {
-			t.Fatal(err)
+// interchangeDB adds ballast to a random database: R facts over fresh
+// nulls with 3-element domains, so the space is ≥ 3^8 and a cancellation
+// lands mid-shard even split across two shards (shards poll the context
+// every cancelCheckInterval visits).
+func interchangeDB(db *core.Database, uniform bool) *core.Database {
+	base := core.NullID(1000)
+	for i := 0; i < 8; i += 2 {
+		n1, n2 := base+core.NullID(i), base+core.NullID(i+1)
+		if !uniform {
+			db.SetDomain(n1, []string{"a", "b", "c"})
+			db.SetDomain(n2, []string{"a", "b", "c"})
 		}
-		cp.Shards[i] = final
+		db.MustAddFact("R", core.Null(n1), core.Null(n2))
 	}
-	blob, err := json.Marshal(cp)
-	if err != nil {
-		t.Fatal(err)
+	return db
+}
+
+// acceptPartial folds a range's progress into the table the way the
+// coordinator does: the watermark and cumulative tally are replaced, fresh
+// completion records are appended.
+func acceptPartial(cp *SweepCheckpoint, i int, s ShardCheckpoint) {
+	cp.Shards[i].Next = s.Next
+	if cp.Completions {
+		cp.Shards[i].Entries = append(cp.Shards[i].Entries, s.Entries...)
+	} else {
+		cp.Shards[i].Count = s.Count
 	}
-	resume := new(SweepCheckpoint)
-	if err := json.Unmarshal(blob, resume); err != nil {
-		t.Fatal(err)
+}
+
+// TestDistRangeCheckpointInterchangeable: a lease table is a plain
+// SweepCheckpoint, so local and distributed sweeps finish each other's
+// work in both directions — a half-leased table is finished by a local
+// resumed sweep (the fallback when every worker is gone), and a cancelled
+// local sweep's snapshot is finished lease by lease and merged — for
+// naïve, Codd and uniform databases and for #Val and #Comp alike.
+func TestDistRangeCheckpointInterchangeable(t *testing.T) {
+	q := cq.MustParseBCQ("R(x, y) ∧ S(y)")
+	schema := map[string]int{"R": 2, "S": 1}
+	builders := map[string]func(r *rand.Rand) *core.Database{
+		"naive":   func(r *rand.Rand) *core.Database { return interchangeDB(randomNaiveDB(r, schema, 4, 5, 3), false) },
+		"codd":    func(r *rand.Rand) *core.Database { return interchangeDB(randomCoddDB(r, schema, 4, 3), false) },
+		"uniform": func(r *rand.Rand) *core.Database { return interchangeDB(randomUniformDB(r, schema, 4, 5, 3), true) },
 	}
-	ck := NewCheckpointer(64, resume)
-	got, err := BruteForceValuations(db, q, &Options{Workers: 2, Checkpoint: ck})
-	if err != nil {
-		t.Fatal(err)
+	count := func(db *core.Database, completions bool, opts *Options) (*big.Int, error) {
+		if completions {
+			return BruteForceCompletions(db, q, opts)
+		}
+		return BruteForceValuations(db, q, opts)
 	}
-	if got.Cmp(want) != 0 {
-		t.Fatalf("locally finished distributed table: got %v, want %v", got, want)
+	errKilled := errors.New("worker killed")
+	for name, build := range builders {
+		for _, completions := range []bool{false, true} {
+			mode := "val"
+			if completions {
+				mode = "comp"
+			}
+			t.Run(fmt.Sprintf("%s/%s/leases-to-local", name, mode), func(t *testing.T) {
+				for seed := int64(0); seed < 3; seed++ {
+					db := build(rand.New(rand.NewSource(seed)))
+					want, err := count(db, completions, &Options{Workers: 1})
+					if err != nil {
+						t.Fatal(err)
+					}
+					eng := distEngine(t, db, q, completions)
+					cp := NewSweepCheckpoint(eng.Size(), 4, completions)
+					// Lease out half the table: two ranges run to
+					// completion, a third worker dies after its first
+					// accepted partial.
+					for i := 0; i < 2; i++ {
+						final, err := SweepShardRange(context.Background(), eng, cp.Shards[i], 0, nil)
+						if err != nil {
+							t.Fatal(err)
+						}
+						acceptPartial(cp, i, final)
+					}
+					accepted := false
+					_, err = SweepShardRange(context.Background(), eng, cp.Shards[2], 17, func(s ShardCheckpoint) error {
+						if accepted {
+							return errKilled
+						}
+						acceptPartial(cp, 2, s)
+						accepted = true
+						return nil
+					})
+					if !errors.Is(err, errKilled) {
+						t.Fatalf("seed %d: partial lease err = %v, want the kill", seed, err)
+					}
+					ck := NewCheckpointer(64, roundTrip(t, cp))
+					got, err := count(db, completions, &Options{Workers: 2, Checkpoint: ck})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got.Cmp(want) != 0 {
+						t.Fatalf("seed %d: locally finished lease table: got %v, want %v", seed, got, want)
+					}
+				}
+			})
+			t.Run(fmt.Sprintf("%s/%s/local-to-leases", name, mode), func(t *testing.T) {
+				for seed := int64(0); seed < 3; seed++ {
+					db := build(rand.New(rand.NewSource(seed)))
+					want, err := count(db, completions, &Options{Workers: 1})
+					if err != nil {
+						t.Fatal(err)
+					}
+					ctx, cancel := context.WithCancel(context.Background())
+					ck := NewCheckpointer(17, nil)
+					ck.onPublish = func(n int) {
+						if n == 3 {
+							cancel()
+						}
+					}
+					_, err = count(db, completions, &Options{Workers: 2, Context: ctx, Checkpoint: ck})
+					cancel()
+					if err != context.Canceled {
+						t.Fatalf("seed %d: err = %v, want context.Canceled", seed, err)
+					}
+					cp := roundTrip(t, ck.Snapshot())
+					eng := distEngine(t, db, q, completions)
+					for i := range cp.Shards {
+						final, err := SweepShardRange(context.Background(), eng, cp.Shards[i], 0, nil)
+						if err != nil {
+							t.Fatal(err)
+						}
+						acceptPartial(cp, i, final)
+					}
+					got, err := MergeCheckpoint(eng, cp)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got.Cmp(want) != 0 {
+						t.Fatalf("seed %d: leased finish of a local snapshot: got %v, want %v", seed, got, want)
+					}
+				}
+			})
+		}
 	}
 }
 
