@@ -101,25 +101,27 @@ func kernelFor(eng *sweep.Engine) sweep.Kernel {
 	return eng.Kernel()
 }
 
-// newTallies returns n per-shard accumulators for a sweep under kernel k:
-// the fixed-width kernels start on machine words, the big.Int kernel
-// starts promoted.
-func newTallies(n int, k sweep.Kernel) []accum {
-	t := make([]accum, n)
-	if k == sweep.KernelBigInt {
-		for i := range t {
-			t[i].bg = new(big.Int)
-		}
+// reset sets the tally to v (nil means zero) for a sweep under kernel k:
+// the fixed-width kernels run on machine words whenever v fits them, the
+// big.Int kernel always runs promoted — so a restored tally keeps its
+// exact value across any promotion boundary.
+func (a *accum) reset(k sweep.Kernel, v *big.Int) {
+	if v == nil {
+		a.lo, a.hi, a.bg = 0, 0, nil
+	} else {
+		a.set(v)
 	}
-	return t
+	if k == sweep.KernelBigInt && a.bg == nil {
+		a.promote()
+	}
 }
 
-// foldTallies folds the per-shard tallies and applies the engine's
-// pruned-null multiplier.
-func foldTallies(counts []accum, eng *sweep.Engine) *big.Int {
+// foldTallies sums the ranges' tallies in index order and applies the
+// engine's pruned-null multiplier.
+func foldTallies(ranges []*rangeConsumer, eng *sweep.Engine) *big.Int {
 	total := big.NewInt(0)
-	for i := range counts {
-		total.Add(total, counts[i].value())
+	for _, r := range ranges {
+		total.Add(total, r.tally.value())
 	}
 	total.Mul(total, eng.Multiplier())
 	return total

@@ -10,9 +10,17 @@
 // deduplicated by an incremental 128-bit set hash (with exact-encoding
 // collision buckets), and — for #Val with syntactic queries — nulls
 // occurring only in relations the query never mentions are factored out of
-// the enumeration as a multiplicative term. The enumerated space is sharded
-// across a worker pool (Options.Workers); parallel results are bit-identical
-// to a serial sweep.
+// the enumeration as a multiplicative term.
+//
+// Every brute-force sweep is one driver (parallel.go): the enumerated
+// space is cut into contiguous index ranges, each range is swept by one
+// range consumer, and the ranges are folded in index order, so results
+// are bit-identical to a serial sweep. A plain count runs one range per
+// worker (Options.Workers); a checkpointed count takes its ranges from
+// the Checkpointer and publishes them as it goes (checkpoint.go); a
+// distributed job's worker consumes one range per lease (distrange.go);
+// StreamCompletions and IsCertain/IsPossible run a single range that stops
+// early.
 //
 // All counts are exact big integers.
 package count
@@ -257,64 +265,37 @@ func BruteForceValuations(db *core.Database, q cq.Query, opts *Options) (*big.In
 // compiled (and guarded) engine — the entry point of the plan executor,
 // whose sweep nodes carry the engine the planner compiled.
 func sweepValuationsOnEngine(eng *sweep.Engine, opts *Options) (*big.Int, error) {
-	if ck := opts.checkpointer(); ck != nil && eng.Size().Sign() > 0 && ck.acquire() {
-		return sweepValuationsCheckpointed(eng, opts, ck)
-	}
-	shards := shardCount(eng.Size(), opts)
-	counts := newTallies(shards, kernelFor(eng))
-	err := sweepSharded(eng, opts.context(), shards, opts.progress(), opts.phases(), func(shard int, cur *sweep.Cursor) bool {
-		if cur.Matches() {
-			counts[shard].inc()
-		}
-		return true
-	})
+	ranges, err := sweepLocal(eng, opts, false)
 	if err != nil {
 		return nil, err
 	}
-	return foldTallies(counts, eng), nil
+	return foldTallies(ranges, eng), nil
 }
 
-// sweepValuationsCheckpointed is the resumable variant: shard geometry
-// and partial tallies come from the Checkpointer (restored from its
-// resume state, fresh otherwise), every shard publishes its position and
-// tally each stride, and — crucially — the final state is flushed even
-// when the sweep is cancelled, so a drain-and-checkpoint shutdown loses
-// no visited valuation. A shard stops only between visits, so the flush
-// positions are exact.
-func sweepValuationsCheckpointed(eng *sweep.Engine, opts *Options, ck *Checkpointer) (*big.Int, error) {
-	st := ck.begin(eng, opts, false)
-	counts := st.counts
-	visited := make([]int64, len(st.starts))
-	sincePub := make([]int64, len(st.starts))
-	pos := make([]big.Int, len(st.starts))
-	err := sweepShardedFrom(eng, opts.context(), st.bounds, st.starts, opts.progress(), opts.phases(), func(shard int, cur *sweep.Cursor) bool {
-		if cur.Matches() {
-			counts[shard].inc()
-		}
-		visited[shard]++
-		if sincePub[shard]++; sincePub[shard] >= ck.stride {
-			sincePub[shard] = 0
-			ck.publish(shard, shardPos(&pos[shard], st.starts[shard], visited[shard]), &counts[shard], nil)
-		}
-		return true
+// sweepLocal runs a local sweep over eng's whole space and returns its
+// consumed ranges in index order, for the caller's fold. When opts
+// carries a Checkpointer this sweep acquires, the ranges come from it
+// (resumed or fresh), every range publishes into it each stride, and
+// every range's exact final state is flushed after the sweep stops —
+// on success that records completion, on cancellation the freshest
+// resumable position, so a drain-and-checkpoint shutdown loses no visited
+// valuation. Sweeps that retain instances (keep) and empty spaces run
+// un-checkpointed.
+func sweepLocal(eng *sweep.Engine, opts *Options, keep bool) ([]*rangeConsumer, error) {
+	ck := opts.checkpointer()
+	if ck == nil || keep || eng.Size().Sign() == 0 || !ck.acquire() {
+		ranges := freshRanges(eng, shardCount(eng.Size(), opts), keep)
+		return ranges, sweepRanges(eng, opts, ranges, 0, nil)
+	}
+	ranges := ck.begin(eng, opts)
+	err := sweepRanges(eng, opts, ranges, ck.stride, func(i int, c *rangeConsumer) error {
+		ck.publish(i, c.checkpoint())
+		return nil
 	})
-	// Flush every shard's exact final state (all shard goroutines have
-	// stopped): on success this records completion, on cancellation the
-	// freshest resumable position.
-	for i := range visited {
-		ck.publish(i, shardPos(&pos[i], st.starts[i], visited[i]), &counts[i], nil)
+	for i, c := range ranges {
+		ck.publish(i, c.checkpoint())
 	}
-	if err != nil {
-		return nil, err
-	}
-	return foldTallies(counts, eng), nil
-}
-
-// shardPos computes start+visited — the shard's next unvisited index —
-// into the shard-owned scratch dst, so a publish allocates no big.Int.
-func shardPos(dst, start *big.Int, visited int64) *big.Int {
-	dst.SetInt64(visited)
-	return dst.Add(dst, start)
+	return ranges, err
 }
 
 // BruteForceCompletions counts the distinct completions ν(db) of db with
@@ -342,13 +323,7 @@ func sweepCompletionsOnEngine(eng *sweep.Engine, opts *Options) (*big.Int, error
 	if err != nil {
 		return nil, err
 	}
-	count := int64(0)
-	for _, e := range merged.order {
-		if e.sat {
-			count++
-		}
-	}
-	return big.NewInt(count), nil
+	return merged.satisfying(), nil
 }
 
 // BruteForceAllCompletions counts all distinct completions of db.
@@ -383,58 +358,9 @@ func bruteCompletionSweep(db *core.Database, q cq.Query, opts *Options, keepInst
 
 // completionSweepOnEngine is bruteCompletionSweep after compilation.
 func completionSweepOnEngine(eng *sweep.Engine, opts *Options, keepInstances bool) (*completionShard, error) {
-	if ck := opts.checkpointer(); ck != nil && !keepInstances && eng.Size().Sign() > 0 && ck.acquire() {
-		return sweepCompletionsCheckpointed(eng, opts, ck)
-	}
-	shards := shardCount(eng.Size(), opts)
-	perShard := make([]*completionShard, shards)
-	for i := range perShard {
-		perShard[i] = newCompletionShard(keepInstances)
-		perShard[i].timing = opts.phases()
-	}
-	err := sweepSharded(eng, opts.context(), shards, opts.progress(), opts.phases(), func(shard int, cur *sweep.Cursor) bool {
-		perShard[shard].visit(cur)
-		return true
-	})
+	ranges, err := sweepLocal(eng, opts, keepInstances)
 	if err != nil {
 		return nil, err
 	}
-	return mergeCompletionShards(perShard), nil
-}
-
-// sweepCompletionsCheckpointed is the resumable completion-dedup sweep:
-// each shard's dedup table is seeded from the restored checkpoint entries
-// (so completions first seen before the interruption are neither
-// re-evaluated nor double-counted), and each stride the shard publishes
-// its position together with the entries first seen since the previous
-// publish. The final flush after the sweep stops — success or
-// cancellation — captures the exact frontier. Instances are never
-// retained on this path (EnumerateCompletions runs un-checkpointed).
-func sweepCompletionsCheckpointed(eng *sweep.Engine, opts *Options, ck *Checkpointer) (*completionShard, error) {
-	st := ck.begin(eng, opts, true)
-	perShard := make([]*completionShard, len(st.starts))
-	for i := range perShard {
-		perShard[i] = newCompletionShard(false)
-		perShard[i].timing = opts.phases()
-		perShard[i].restore(st.entriesAt(i))
-	}
-	visited := make([]int64, len(st.starts))
-	sincePub := make([]int64, len(st.starts))
-	pos := make([]big.Int, len(st.starts))
-	err := sweepShardedFrom(eng, opts.context(), st.bounds, st.starts, opts.progress(), opts.phases(), func(shard int, cur *sweep.Cursor) bool {
-		perShard[shard].visit(cur)
-		visited[shard]++
-		if sincePub[shard]++; sincePub[shard] >= ck.stride {
-			sincePub[shard] = 0
-			ck.publish(shard, shardPos(&pos[shard], st.starts[shard], visited[shard]), nil, perShard[shard].drainPending())
-		}
-		return true
-	})
-	for i := range visited {
-		ck.publish(i, shardPos(&pos[i], st.starts[i], visited[i]), nil, perShard[i].drainPending())
-	}
-	if err != nil {
-		return nil, err
-	}
-	return mergeCompletionShards(perShard), nil
+	return mergeCompletionShards(ranges), nil
 }

@@ -2,21 +2,26 @@ package count
 
 import (
 	"encoding/json"
+	"errors"
+	"fmt"
 	"math/big"
+	"slices"
 	"sync"
 
 	"github.com/incompletedb/incompletedb/internal/sweep"
 )
 
-// Checkpointing makes a sharded brute-force sweep resumable: each shard
-// periodically publishes its odometer position and partial accumulators
-// (valuation count, completion-dedup entries) into a Checkpointer, whose
-// Snapshot can be persisted and later handed to a fresh sweep as the
-// resume state. A resumed sweep restores every shard's position and
-// accumulator and continues; because shards partition the index space
-// contiguously and per-shard state is only ever published at exact visit
-// boundaries, the final merged result is bit-identical to an
-// uninterrupted run.
+// The checkpoint wire format and its one codec. A SweepCheckpoint is a
+// sweep's range geometry plus each range's position and accumulator; it is
+// both a local sweep's resume state (a Checkpointer's Snapshot, persisted
+// by the job store) and a distributed job's lease table. decodeRange turns
+// one ShardCheckpoint into a range consumer ready to resume, and
+// rangeConsumer.checkpoint encodes a consumer's progress back; every
+// reader — Checkpointer resume, ValidateShardProgress, SweepShardRange,
+// MergeCheckpoint — goes through decodeRange. Because ranges partition the
+// index space contiguously and are only encoded at exact visit
+// boundaries, a sweep resumed from any checkpoint, locally or on remote
+// workers, folds to the result of an uninterrupted run.
 
 // DefaultCheckpointStride is the default number of valuations a shard
 // visits between publishing its state into the Checkpointer. Publishing
@@ -179,134 +184,42 @@ func (c *Checkpointer) acquire() bool {
 	return true
 }
 
-// resumeState is what a checkpointed sweep starts from: the shard
-// geometry (bounds has len(shards)+1 entries), each shard's start
-// position within its interval, and the restored accumulators.
-type resumeState struct {
-	bounds []*big.Int
-	starts []*big.Int
-	// counts is the per-shard accumulator state, on the kernel the
-	// engine's space size selects; a restored tally keeps the exact value
-	// it was published with, across any promotion boundary.
-	counts []accum
-	// entries is the restored completion-dedup state per shard (nil
-	// outside completion sweeps or on a fresh start).
-	entries [][]*compEntry
-}
-
-// begin computes the resume state for eng under opts: the restored
-// checkpoint when one is present and valid, fresh geometry otherwise. It
-// also initializes the Checkpointer's live state to match, so a Snapshot
-// taken before the first publish already describes the sweep.
-func (c *Checkpointer) begin(eng *sweep.Engine, opts *Options, completions bool) *resumeState {
-	st := c.restore(eng, completions)
-	if st == nil {
-		size := eng.Size()
-		shards := shardCount(size, opts)
-		bounds := shardBounds(size, shards)
-		st = &resumeState{
-			bounds: bounds,
-			starts: bounds[:shards],
-			counts: newTallies(shards, kernelFor(eng)),
-		}
-		if completions {
-			st.entries = make([][]*compEntry, shards)
-		}
+// begin binds the Checkpointer's live state to a sweep over eng and
+// returns the ranges to consume: the resume checkpoint's when it decodes
+// against eng, fresh geometry under opts otherwise (an incompatible resume
+// state is discarded). The live state is initialized to match, so a
+// Snapshot taken before the first publish already describes the sweep.
+func (c *Checkpointer) begin(eng *sweep.Engine, opts *Options) []*rangeConsumer {
+	ranges, err := decodeRanges(eng, c.resume)
+	resumed := err == nil
+	if !resumed {
+		ranges = freshRanges(eng, shardCount(eng.Size(), opts), false)
 	}
 	c.mu.Lock()
-	c.state = &SweepCheckpoint{Space: eng.Size().String(), Completions: completions}
-	for i := range st.starts {
-		sc := ShardCheckpoint{
-			Lo:   st.bounds[i].String(),
-			Next: st.starts[i].String(),
-			Hi:   st.bounds[i+1].String(),
+	defer c.mu.Unlock()
+	c.state = &SweepCheckpoint{Space: eng.Size().String(), Completions: eng.Mode() == sweep.ModeCompletions}
+	c.state.Shards = make([]ShardCheckpoint, len(ranges))
+	for i, r := range ranges {
+		c.state.Shards[i] = r.checkpoint()
+		if resumed {
+			// Decoded entries count as already published; carry their
+			// records over (clipped, so appends never write into the
+			// caller's resume state).
+			c.state.Shards[i].Entries = slices.Clip(c.resume.Shards[i].Entries)
 		}
-		if !completions {
-			sc.Count = tallyOf(&st.counts[i])
-		}
-		for _, e := range st.entriesAt(i) {
-			sc.Entries = append(sc.Entries, recordOf(e))
-		}
-		c.state.Shards = append(c.state.Shards, sc)
 	}
-	c.mu.Unlock()
-	return st
+	return ranges
 }
 
-// entriesAt returns the restored entries of shard i, tolerating a nil
-// entries slice (valuation sweeps).
-func (st *resumeState) entriesAt(i int) []*compEntry {
-	if st.entries == nil {
-		return nil
-	}
-	return st.entries[i]
-}
-
-// restore validates and decodes the resume checkpoint against eng;
-// any inconsistency discards it (returning nil → fresh start).
-func (c *Checkpointer) restore(eng *sweep.Engine, completions bool) *resumeState {
-	r := c.resume
-	if r == nil || len(r.Shards) == 0 || r.Completions != completions {
-		return nil
-	}
-	size := eng.Size()
-	if r.Space != size.String() {
-		return nil
-	}
-	kernel := kernelFor(eng)
-	st := &resumeState{
-		bounds: make([]*big.Int, 0, len(r.Shards)+1),
-		counts: make([]accum, len(r.Shards)),
-	}
-	if completions {
-		st.entries = make([][]*compEntry, len(r.Shards))
-	}
-	prev := big.NewInt(0)
-	st.bounds = append(st.bounds, prev)
-	for i, s := range r.Shards {
-		lo, ok1 := new(big.Int).SetString(s.Lo, 10)
-		next, ok2 := new(big.Int).SetString(s.Next, 10)
-		hi, ok3 := new(big.Int).SetString(s.Hi, 10)
-		if !ok1 || !ok2 || !ok3 || lo.Cmp(prev) != 0 || next.Cmp(lo) < 0 || hi.Cmp(next) < 0 {
-			return nil
-		}
-		tally, ok := s.Count.bigInt()
-		if !ok || tally.Sign() < 0 {
-			return nil
-		}
-		st.bounds = append(st.bounds, hi)
-		st.starts = append(st.starts, next)
-		st.counts[i].set(tally)
-		if kernel == sweep.KernelBigInt && !st.counts[i].promoted() {
-			st.counts[i].promote()
-		}
-		if completions {
-			entries, err := rehydrateEntries(eng, s.Entries)
-			if err != nil {
-				return nil
-			}
-			st.entries[i] = entries
-		}
-		prev = hi
-	}
-	if prev.Cmp(size) != 0 {
-		return nil
-	}
-	return st
-}
-
-// publish records shard's current position and accumulator: next is the
-// first unvisited index, count the satisfying tally over [Lo, next)
-// (nil on completion sweeps, whose tally lives in the entries), and
-// fresh the completion entries first seen since the previous publish.
-func (c *Checkpointer) publish(shard int, next *big.Int, count *accum, fresh []CompletionRecord) {
+// publish folds one range's checkpoint into the live state the way a
+// coordinator accepts a lease partial: position and tally are replaced,
+// fresh completion records are appended.
+func (c *Checkpointer) publish(shard int, p ShardCheckpoint) {
 	c.mu.Lock()
 	s := &c.state.Shards[shard]
-	s.Next = next.String()
-	if count != nil {
-		s.Count = tallyOf(count)
-	}
-	s.Entries = append(s.Entries, fresh...)
+	s.Next = p.Next
+	s.Count = p.Count
+	s.Entries = append(s.Entries, p.Entries...)
 	c.publishes++
 	if c.onPublish != nil {
 		c.onPublish(c.publishes)
@@ -322,4 +235,108 @@ func recordOf(e *compEntry) CompletionRecord {
 		Canonical: e.snap.Canonical,
 		Sat:       e.sat,
 	}
+}
+
+// ErrShardCheckpoint reports a structurally invalid ShardCheckpoint:
+// unparseable positions or tally, positions outside the engine's space,
+// or completion records that do not decode against the engine. Callers
+// translating to wire errors can match it with errors.Is.
+var ErrShardCheckpoint = errors.New("count: invalid shard checkpoint")
+
+// parseShardRange validates one shard's positions against a space of the
+// given size: all three must parse, with 0 ≤ Lo ≤ Next ≤ Hi ≤ size.
+func parseShardRange(s *ShardCheckpoint, size *big.Int) (lo, next, hi *big.Int, err error) {
+	lo, ok1 := new(big.Int).SetString(s.Lo, 10)
+	next, ok2 := new(big.Int).SetString(s.Next, 10)
+	hi, ok3 := new(big.Int).SetString(s.Hi, 10)
+	if !ok1 || !ok2 || !ok3 {
+		return nil, nil, nil, fmt.Errorf("%w: malformed position", ErrShardCheckpoint)
+	}
+	if lo.Sign() < 0 || next.Cmp(lo) < 0 || hi.Cmp(next) < 0 || hi.Cmp(size) > 0 {
+		return nil, nil, nil, fmt.Errorf("%w: positions out of order or outside [0, %s]", ErrShardCheckpoint, size)
+	}
+	return lo, next, hi, nil
+}
+
+// decodeRange is the one ShardCheckpoint decoder: it validates the
+// positions against eng's space and restores the accumulator over
+// [Lo, Next) — the tally on #Val sweeps, the dedup table on #Comp sweeps
+// (its entries count as already published) — into a consumer that
+// resumes at Next.
+func decodeRange(eng *sweep.Engine, s *ShardCheckpoint) (*rangeConsumer, error) {
+	lo, next, hi, err := parseShardRange(s, eng.Size())
+	if err != nil {
+		return nil, err
+	}
+	tally, ok := s.Count.bigInt()
+	if !ok || tally.Sign() < 0 {
+		return nil, fmt.Errorf("%w: malformed tally %q", ErrShardCheckpoint, s.Count)
+	}
+	c := newRange(eng, lo, next, hi, false)
+	if c.comp == nil {
+		if len(s.Entries) > 0 {
+			return nil, fmt.Errorf("%w: completion records on a valuation sweep", ErrShardCheckpoint)
+		}
+		c.tally.reset(kernelFor(eng), tally)
+		return c, nil
+	}
+	for _, rec := range s.Entries {
+		snap, err := eng.SnapshotOf(rec.Canonical)
+		if err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrShardCheckpoint, err)
+		}
+		c.comp.add(&compEntry{hash: sweep.Hash128{Lo: rec.HashLo, Hi: rec.HashHi}, snap: snap, sat: rec.Sat})
+	}
+	c.comp.pendingFrom = len(c.comp.order)
+	return c, nil
+}
+
+// decodeRanges decodes a whole checkpoint against eng: space and sweep
+// mode must match the engine's, and the shards must partition [0, Size)
+// contiguously in index order.
+func decodeRanges(eng *sweep.Engine, cp *SweepCheckpoint) ([]*rangeConsumer, error) {
+	if cp == nil {
+		return nil, fmt.Errorf("%w: nil checkpoint", ErrShardCheckpoint)
+	}
+	size := eng.Size()
+	if cp.Space != size.String() {
+		return nil, fmt.Errorf("%w: space %s does not match engine space %s", ErrShardCheckpoint, cp.Space, size)
+	}
+	if cp.Completions != (eng.Mode() == sweep.ModeCompletions) {
+		return nil, fmt.Errorf("%w: checkpoint and engine disagree on sweep mode", ErrShardCheckpoint)
+	}
+	if len(cp.Shards) == 0 {
+		return nil, fmt.Errorf("%w: no shards", ErrShardCheckpoint)
+	}
+	ranges := make([]*rangeConsumer, len(cp.Shards))
+	prev := new(big.Int)
+	for i := range cp.Shards {
+		r, err := decodeRange(eng, &cp.Shards[i])
+		if err != nil {
+			return nil, err
+		}
+		if r.lo.Cmp(prev) != 0 {
+			return nil, fmt.Errorf("%w: shard %d starts at %s, want %s", ErrShardCheckpoint, i, r.lo, prev)
+		}
+		ranges[i], prev = r, r.hi
+	}
+	if prev.Cmp(size) != 0 {
+		return nil, fmt.Errorf("%w: shards cover [0, %s), want [0, %s)", ErrShardCheckpoint, prev, size)
+	}
+	return ranges, nil
+}
+
+// checkpoint encodes the consumer's progress: the next unvisited index,
+// the tally over [Lo, Next) on #Val sweeps, and on #Comp sweeps the
+// completion records first seen since the previous checkpoint (earlier
+// ones are already upstream, so this advances the drain watermark).
+func (c *rangeConsumer) checkpoint() ShardCheckpoint {
+	c.pos.SetInt64(c.visited)
+	s := ShardCheckpoint{Lo: c.lo.String(), Next: c.pos.Add(&c.pos, c.start).String(), Hi: c.hi.String()}
+	if c.comp != nil {
+		s.Entries = c.comp.drainPending()
+	} else {
+		s.Count = tallyOf(&c.tally)
+	}
+	return s
 }

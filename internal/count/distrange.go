@@ -2,28 +2,22 @@ package count
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/big"
 
 	"github.com/incompletedb/incompletedb/internal/sweep"
 )
 
-// Distributed-sweep support: a coordinator decomposes one sweep into
-// contiguous index-range leases, remote workers sweep each lease with
-// SweepShardRange, and the coordinator folds the completed ranges back
-// together with MergeCheckpoint. The lease table reuses SweepCheckpoint /
-// ShardCheckpoint wholesale, so a distributed job's durable state is the
-// same artifact a local checkpointed sweep produces — either side can
-// resume the other's work — and because ranges partition [0, Size) in
-// index order and publishes happen at exact visit boundaries, the merged
-// result is bit-identical to an uninterrupted single-process sweep.
-
-// ErrShardCheckpoint reports a structurally invalid ShardCheckpoint:
-// unparseable positions or tally, positions outside the engine's space,
-// or completion records that do not decode against the engine. Callers
-// translating to wire errors can match it with errors.Is.
-var ErrShardCheckpoint = errors.New("count: invalid shard checkpoint")
+// The distributed transport of the one sweep driver (parallel.go): a
+// coordinator cuts a sweep into range leases with NewSweepCheckpoint,
+// checks worker partials with ValidateShardProgress, and folds the
+// completed table with MergeCheckpoint; a remote worker consumes each
+// lease with SweepShardRange. The leases are cut by the same shardBounds
+// as local shards, and the other three run the same range consumer,
+// ShardCheckpoint codec and index-order fold as a local sweep, so a lease
+// table and a local checkpoint are the same artifact — either side can
+// resume the other's work — and the merged result is bit-identical to an
+// uninterrupted single-process sweep.
 
 // NewSweepCheckpoint builds the fresh geometry of a sweep over a space of
 // the given size split into shards contiguous index ranges — the
@@ -53,56 +47,15 @@ func NewSweepCheckpoint(size *big.Int, shards int, completions bool) *SweepCheck
 	return cp
 }
 
-// parseShardRange validates one shard's positions against a space of the
-// given size: all three must parse, with 0 ≤ Lo ≤ Next ≤ Hi ≤ size.
-func parseShardRange(s *ShardCheckpoint, size *big.Int) (lo, next, hi *big.Int, err error) {
-	lo, ok1 := new(big.Int).SetString(s.Lo, 10)
-	next, ok2 := new(big.Int).SetString(s.Next, 10)
-	hi, ok3 := new(big.Int).SetString(s.Hi, 10)
-	if !ok1 || !ok2 || !ok3 {
-		return nil, nil, nil, fmt.Errorf("%w: malformed position", ErrShardCheckpoint)
-	}
-	if lo.Sign() < 0 || next.Cmp(lo) < 0 || hi.Cmp(next) < 0 || hi.Cmp(size) > 0 {
-		return nil, nil, nil, fmt.Errorf("%w: positions out of order or outside [0, %s]", ErrShardCheckpoint, size)
-	}
-	return lo, next, hi, nil
-}
-
-// rehydrateEntries decodes completion records against eng's interned
-// snapshot encoding.
-func rehydrateEntries(eng *sweep.Engine, recs []CompletionRecord) ([]*compEntry, error) {
-	if len(recs) == 0 {
-		return nil, nil
-	}
-	entries := make([]*compEntry, len(recs))
-	for i, rec := range recs {
-		snap, err := eng.SnapshotOf(rec.Canonical)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrShardCheckpoint, err)
-		}
-		entries[i] = &compEntry{
-			hash: sweep.Hash128{Lo: rec.HashLo, Hi: rec.HashHi},
-			snap: snap,
-			sat:  rec.Sat,
-		}
-	}
-	return entries, nil
-}
-
 // ValidateShardProgress structurally checks a progress payload against the
 // engine: positions parse and are ordered within the space, the tally
-// parses, and (on completion sweeps) every record decodes. It is what the
-// coordinator runs on worker-supplied partials before accepting them, so a
-// version-skewed or corrupt payload is rejected up front instead of
-// failing the final merge.
+// parses, and every completion record decodes (a valuation sweep carries
+// none) — the checks every resume makes. The coordinator runs it on
+// worker-supplied partials before accepting them, so a version-skewed or
+// corrupt payload is rejected up front instead of failing the final
+// merge.
 func ValidateShardProgress(eng *sweep.Engine, s *ShardCheckpoint) error {
-	if _, _, _, err := parseShardRange(s, eng.Size()); err != nil {
-		return err
-	}
-	if tally, ok := s.Count.bigInt(); !ok || tally.Sign() < 0 {
-		return fmt.Errorf("%w: malformed tally %q", ErrShardCheckpoint, s.Count)
-	}
-	_, err := rehydrateEntries(eng, s.Entries)
+	_, err := decodeRange(eng, s)
 	return err
 }
 
@@ -119,165 +72,41 @@ func ValidateShardProgress(eng *sweep.Engine, s *ShardCheckpoint) error {
 // partial. Context cancellation returns ctx.Err() after a best-effort
 // final publish.
 func SweepShardRange(ctx context.Context, eng *sweep.Engine, shard ShardCheckpoint, stride int64, publish func(ShardCheckpoint) error) (ShardCheckpoint, error) {
-	size := eng.Size()
-	_, next, hi, err := parseShardRange(&shard, size)
+	c, err := decodeRange(eng, &shard)
 	if err != nil {
 		return shard, err
 	}
 	if stride <= 0 {
 		stride = DefaultCheckpointStride
 	}
-	completions := eng.Mode() == sweep.ModeCompletions
-
-	counts := newTallies(1, kernelFor(eng))
-	var cs *completionShard
-	if completions {
-		entries, err := rehydrateEntries(eng, shard.Entries)
-		if err != nil {
-			return shard, err
-		}
-		cs = newCompletionShard(false)
-		cs.restore(entries)
-	} else {
-		tally, ok := shard.Count.bigInt()
-		if !ok || tally.Sign() < 0 {
-			return shard, fmt.Errorf("%w: malformed tally %q", ErrShardCheckpoint, shard.Count)
-		}
-		counts[0].set(tally)
-		if kernelFor(eng) == sweep.KernelBigInt && !counts[0].promoted() {
-			counts[0].promote()
-		}
+	var pub func(int, *rangeConsumer) error
+	if publish != nil {
+		pub = func(_ int, c *rangeConsumer) error { return publish(c.checkpoint()) }
 	}
-
-	state := ShardCheckpoint{Lo: shard.Lo, Next: shard.Next, Hi: shard.Hi, Count: shard.Count}
-	if next.Cmp(hi) == 0 {
-		return state, nil
+	err = sweepRanges(eng, &Options{Context: ctx}, []*rangeConsumer{c}, stride, pub)
+	if err != nil && err == ctx.Err() && publish != nil {
+		_ = publish(c.checkpoint()) // best effort: hand upstream the freshest position
 	}
-
-	var (
-		visited  int64
-		sincePub int64
-		pubErr   error
-	)
-	flush := func() error {
-		if publish == nil {
-			return nil
-		}
-		pos := new(big.Int).Add(next, big.NewInt(visited))
-		state.Next = pos.String()
-		if completions {
-			state.Count = ""
-			state.Entries = cs.drainPending()
-		} else {
-			state.Count = tallyOf(&counts[0])
-			state.Entries = nil
-		}
-		return publish(state)
-	}
-	err = sweepShard(eng, ctx, next, hi, 0, nil, func(_ int, cur *sweep.Cursor) bool {
-		if completions {
-			cs.visit(cur)
-		} else if cur.Matches() {
-			counts[0].inc()
-		}
-		visited++
-		if sincePub++; sincePub >= stride {
-			sincePub = 0
-			if pubErr = flush(); pubErr != nil {
-				return false
-			}
-		}
-		return true
-	})
-	if err != nil {
-		return state, err // Seek error: the interval itself was invalid
-	}
-	if pubErr != nil {
-		return state, pubErr
-	}
-	if cerr := ctx.Err(); cerr != nil {
-		_ = flush() // best effort: hand upstream the freshest position
-		return state, cerr
-	}
-	state.Next = shard.Hi
-	if completions {
-		state.Count = ""
-		state.Entries = cs.drainPending()
-	} else {
-		state.Count = tallyOf(&counts[0])
-		state.Entries = nil
-	}
-	return state, nil
+	return c.checkpoint(), err
 }
 
 // MergeCheckpoint folds a fully swept checkpoint into the final count,
 // bit-identical to an uninterrupted local sweep: the shards must form a
-// contiguous partition of [0, Size) with every Next at its Hi. Valuation
-// tallies sum and then pick up the engine's pruned-null multiplier —
-// exactly foldTallies' order of operations — and completion records
-// deduplicate across shards in index order by exact canonical encoding
-// before the satisfying ones are counted, exactly as
-// mergeCompletionShards does for an in-process sharded sweep.
+// contiguous partition of [0, Size) with every Next at its Hi. Shards
+// decode like any resume state and fold exactly as a local sweep's ranges
+// do — foldTallies for #Val, mergeCompletionShards for #Comp.
 func MergeCheckpoint(eng *sweep.Engine, cp *SweepCheckpoint) (*big.Int, error) {
-	if cp == nil {
-		return nil, fmt.Errorf("%w: nil checkpoint", ErrShardCheckpoint)
+	ranges, err := decodeRanges(eng, cp)
+	if err != nil {
+		return nil, err
 	}
-	size := eng.Size()
-	completions := eng.Mode() == sweep.ModeCompletions
-	if cp.Space != size.String() {
-		return nil, fmt.Errorf("%w: space %s does not match engine space %s", ErrShardCheckpoint, cp.Space, size)
-	}
-	if cp.Completions != completions {
-		return nil, fmt.Errorf("%w: checkpoint and engine disagree on sweep mode", ErrShardCheckpoint)
-	}
-	if len(cp.Shards) == 0 {
-		return nil, fmt.Errorf("%w: no shards", ErrShardCheckpoint)
-	}
-	var merged *completionShard
-	if completions {
-		merged = newCompletionShard(false)
-	}
-	total := new(big.Int)
-	prev := big.NewInt(0)
-	for i := range cp.Shards {
-		s := &cp.Shards[i]
-		lo, next, hi, err := parseShardRange(s, size)
-		if err != nil {
-			return nil, err
+	for i, r := range ranges {
+		if r.start.Cmp(r.hi) != 0 {
+			return nil, fmt.Errorf("%w: shard %d incomplete (next %s < hi %s)", ErrShardCheckpoint, i, r.start, r.hi)
 		}
-		if lo.Cmp(prev) != 0 {
-			return nil, fmt.Errorf("%w: shard %d starts at %s, want %s", ErrShardCheckpoint, i, lo, prev)
-		}
-		if next.Cmp(hi) != 0 {
-			return nil, fmt.Errorf("%w: shard %d incomplete (next %s < hi %s)", ErrShardCheckpoint, i, next, hi)
-		}
-		prev = hi
-		if completions {
-			entries, err := rehydrateEntries(eng, s.Entries)
-			if err != nil {
-				return nil, err
-			}
-			for _, e := range entries {
-				merged.add(e)
-			}
-			continue
-		}
-		tally, ok := s.Count.bigInt()
-		if !ok || tally.Sign() < 0 {
-			return nil, fmt.Errorf("%w: malformed tally %q", ErrShardCheckpoint, s.Count)
-		}
-		total.Add(total, tally)
 	}
-	if prev.Cmp(size) != 0 {
-		return nil, fmt.Errorf("%w: shards cover [0, %s), want [0, %s)", ErrShardCheckpoint, prev, size)
+	if ranges[0].comp != nil {
+		return mergeCompletionShards(ranges).satisfying(), nil
 	}
-	if completions {
-		for _, e := range merged.order {
-			if e.sat {
-				total.Add(total, accumOne)
-			}
-		}
-		return total, nil
-	}
-	return total.Mul(total, eng.Multiplier()), nil
+	return foldTallies(ranges, eng), nil
 }

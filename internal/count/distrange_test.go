@@ -378,6 +378,30 @@ func TestDistRangeRejectsMalformed(t *testing.T) {
 	}
 }
 
+// TestDistRangeRejectsRecordsOnValuationSweep: completion records mean
+// nothing to a #Val sweep, so every reader of a #Val shard — validation,
+// a lease, a local resume — rejects them instead of silently ignoring a
+// payload from a confused or skewed peer.
+func TestDistRangeRejectsRecordsOnValuationSweep(t *testing.T) {
+	db := core.NewUniformDatabase([]string{"a", "b"})
+	db.MustAddFact("R", core.Null(1), core.Null(2))
+	q := cq.MustParseBCQ("R(x, x)")
+	eng := distEngine(t, db, q, false)
+	rec := distEngine(t, db, q, true).NewCursor().AppendCanonical(nil)
+	s := ShardCheckpoint{Lo: "0", Next: "1", Hi: "4", Entries: []CompletionRecord{{Canonical: rec}}}
+	if err := ValidateShardProgress(eng, &s); !errors.Is(err, ErrShardCheckpoint) {
+		t.Errorf("ValidateShardProgress err = %v, want ErrShardCheckpoint", err)
+	}
+	if _, err := SweepShardRange(context.Background(), eng, s, 0, nil); !errors.Is(err, ErrShardCheckpoint) {
+		t.Errorf("SweepShardRange err = %v, want ErrShardCheckpoint", err)
+	}
+	ck := NewCheckpointer(0, &SweepCheckpoint{Space: "4", Shards: []ShardCheckpoint{{Lo: "0", Next: "1", Hi: "4", Count: "4", Entries: s.Entries}}})
+	got, err := BruteForceValuations(db, q, &Options{Workers: 1, Checkpoint: ck})
+	if err != nil || got.Cmp(big.NewInt(2)) != 0 {
+		t.Fatalf("resume from a #Val checkpoint with records: got %v, %v; want the fresh count 2", got, err)
+	}
+}
+
 // TestMergeCheckpointRejects: merges over incomplete or non-partitioning
 // shard sets must fail loudly — a silent undercount is the one outcome
 // the distributed path may never produce.

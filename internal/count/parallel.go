@@ -2,6 +2,7 @@ package count
 
 import (
 	"context"
+	"math"
 	"math/big"
 	"runtime/pprof"
 	"slices"
@@ -13,12 +14,27 @@ import (
 	"github.com/incompletedb/incompletedb/internal/sweep"
 )
 
-// The sharded valuation-sweep driver behind the brute-force counters: the
-// engine's enumerated space is split into one contiguous, index-ordered
-// shard per worker, and each worker sweeps its shard with its own cursor
-// and shard-local state. Because shards partition [0, Size) in index
-// order, per-shard results can always be merged back into exactly the
-// answer a serial sweep would produce.
+// The one brute-force sweep driver. Every sweep — a plain local count, a
+// resumable checkpointed count, a dist worker's lease, a completion
+// stream, an early-exit certainty check — is the same three steps:
+//
+//  1. Geometry: the engine's enumerated space [0, Size) cut into
+//     contiguous ranges in index order, fresh from shardCount/shardBounds
+//     or decoded from a SweepCheckpoint (a Checkpointer's resume state or
+//     a coordinator's lease).
+//  2. Consumption: each range is swept by one rangeConsumer — a cursor
+//     seeked to the range's start, stepping to its end, feeding every
+//     valuation into the range's accumulator. sweepRanges runs the local
+//     ranges concurrently; a dist worker runs one range per lease.
+//  3. Fold: swept ranges are folded in index order (foldTallies for #Val,
+//     mergeCompletionShards for #Comp), so the result is exactly what one
+//     serial sweep produces.
+//
+// Checkpointing is a publish hook on step 2 (nil means none): every
+// stride visits a consumer encodes its position and accumulator as a
+// ShardCheckpoint and hands it upstream — into a Checkpointer locally,
+// over HTTP to a coordinator in internal/dist. Local and distributed
+// sweeps differ only in that transport.
 
 // serialCutoff is the space size below which sharding is not worth the
 // goroutine and merge overhead and the sweep runs on the calling
@@ -68,28 +84,206 @@ func shardBounds(size *big.Int, shards int) []*big.Int {
 	return bounds
 }
 
-// sweepSharded enumerates the engine's whole enumerated space across the
-// given number of shards, calling visit(shard, cur) for every valuation
-// with the shard's cursor positioned on it. visit runs concurrently across
-// shards and must only touch state owned by its shard; the cursor is
-// repositioned between calls within one shard. A false return from visit
-// stops that shard only. sweepSharded returns the context's error if the
-// sweep was cancelled, in which case the per-shard state is incomplete and
-// must be discarded.
-//
-// progress, when non-nil, is notified as described by Options.Progress:
-// once with (0, shards) before enumeration starts, then with the new
-// completed-shard count each time a shard finishes without the sweep
-// having been cancelled. A progressTracker serializes the calls.
-func sweepSharded(eng *sweep.Engine, ctx context.Context, shards int, progress func(done, total int), phases *PhaseTimes, visit func(shard int, cur *sweep.Cursor) bool) error {
-	size := eng.Size()
-	if size.Sign() == 0 {
-		tracker := newProgressTracker(progress, shards)
-		tracker.finishAll(ctx)
+// rangeConsumer sweeps one contiguous range of a sweep's index space and
+// owns everything the range accumulates: the range [lo, hi), where this
+// run starts (start, past lo when resumed), the valuations visited since
+// start, and the accumulator over [lo, start+visited) — a tally on #Val
+// sweeps, a completion-dedup table on #Comp sweeps. Only the goroutine
+// sweeping a consumer touches it until that goroutine stops. decodeRange
+// and checkpoint convert it from and to a ShardCheckpoint.
+type rangeConsumer struct {
+	lo, start, hi *big.Int
+	visited       int64
+	tally         accum            // #Val
+	comp          *completionShard // #Comp; nil on #Val sweeps
+
+	// emit, when non-nil, is called with the cursor and the verdict on
+	// every valuation (#Val) or every completion seen for the first time
+	// (#Comp); a false return stops the range. StreamCompletions and the
+	// early-exit certainty sweeps use it.
+	emit func(cur *sweep.Cursor, sat bool) bool
+
+	// pos is checkpoint's scratch for start+visited, so a publish
+	// allocates no big.Int.
+	pos big.Int
+}
+
+// newRange returns an empty consumer for [lo, hi) starting at start, with
+// the accumulator eng's mode needs: a tally on the kernel the space size
+// selects, or a dedup table (retaining instances when keep is set).
+func newRange(eng *sweep.Engine, lo, start, hi *big.Int, keep bool) *rangeConsumer {
+	c := &rangeConsumer{lo: lo, start: start, hi: hi}
+	if eng.Mode() == sweep.ModeCompletions {
+		c.comp = newCompletionShard(keep)
+	} else {
+		c.tally.reset(kernelFor(eng), nil)
+	}
+	return c
+}
+
+// freshRanges cuts eng's space into the given number of fresh ranges.
+func freshRanges(eng *sweep.Engine, shards int, keep bool) []*rangeConsumer {
+	bounds := shardBounds(eng.Size(), shards)
+	ranges := make([]*rangeConsumer, shards)
+	for i := range ranges {
+		ranges[i] = newRange(eng, bounds[i], bounds[i], bounds[i+1], keep)
+	}
+	return ranges
+}
+
+// consume feeds the cursor's valuation into the accumulator. It returns
+// false only when emit asks the range to stop.
+func (c *rangeConsumer) consume(cur *sweep.Cursor) bool {
+	c.visited++
+	if c.comp == nil {
+		sat := cur.Matches()
+		if sat {
+			c.tally.inc()
+		}
+		return c.emit == nil || c.emit(cur, sat)
+	}
+	e := c.comp.visit(cur)
+	return e == nil || c.emit == nil || c.emit(cur, e.sat)
+}
+
+// run sweeps [start, hi) with a fresh cursor, consuming each valuation,
+// until the range ends or consume asks to stop, polling ctx every
+// cancelCheckInterval visits. With publish non-nil it publishes every
+// stride visits; a publish error stops the range and is returned. So is a
+// Seek error (an invalid range): swallowing it would turn a partial sweep
+// into a silent undercount. Cancellation stops the range between visits
+// with a nil error; the caller checks the context. With phases non-nil,
+// one visit in phaseSampleStride is timed and the scaled estimate
+// accumulated: the visit goes to the dedup phase on completion sweeps
+// (where the visit is the dedup probe — the rare first-sight query
+// evaluation inside it is timed separately by the completion shard) and
+// to the match phase otherwise.
+func (c *rangeConsumer) run(eng *sweep.Engine, ctx context.Context, phases *PhaseTimes, stride int64, publish func() error) error {
+	rest := new(big.Int).Sub(c.hi, c.start)
+	if rest.Sign() == 0 {
+		return nil
+	}
+	cur := eng.NewCursor()
+	if err := cur.Seek(c.start); err != nil {
+		return err
+	}
+	dedupVisits := eng.Mode() == sweep.ModeCompletions
+	var remaining, sincePub int64
+	sinceCheck, sinceSample := 0, 0
+	for {
+		// remaining counts down an int64-sized chunk of rest, so a range
+		// beyond 2^63 valuations (which cannot finish in practice) stays
+		// exact without big.Int arithmetic per visit.
+		if remaining == 0 {
+			remaining = math.MaxInt64
+			if rest.IsInt64() {
+				remaining = rest.Int64()
+			}
+			rest.Sub(rest, new(big.Int).SetInt64(remaining))
+		}
+		if sinceCheck++; sinceCheck >= cancelCheckInterval {
+			sinceCheck = 0
+			if ctx.Err() != nil {
+				return nil
+			}
+		}
+		timed := false
+		if phases != nil {
+			if sinceSample++; sinceSample >= phaseSampleStride {
+				sinceSample, timed = 0, true
+			}
+		}
+		var t0 time.Time
+		if timed {
+			t0 = time.Now()
+		}
+		more := c.consume(cur)
+		if timed {
+			if dedupVisits {
+				phases.addDedup(time.Since(t0), phaseSampleStride)
+			} else {
+				phases.addMatch(time.Since(t0), phaseSampleStride)
+			}
+		}
+		if !more {
+			return nil
+		}
+		if publish != nil {
+			if sincePub++; sincePub >= stride {
+				sincePub = 0
+				if err := publish(); err != nil {
+					return err
+				}
+			}
+		}
+		if remaining--; remaining == 0 && rest.Sign() == 0 {
+			return nil
+		}
+		if timed {
+			t0 = time.Now()
+			cur.Step()
+			phases.addStep(time.Since(t0), phaseSampleStride)
+		} else {
+			cur.Step()
+		}
+	}
+}
+
+// sweepRanges is the driver: it consumes every range — on the calling
+// goroutine when there is one, else on one pprof-labelled goroutine per
+// range — reporting progress as Options.Progress describes (one unit per
+// range finished without cancellation) and sampling phases into
+// opts.Phases. publish, when non-nil, checkpoints range i every stride
+// visits; nil means the sweep is not checkpointed. It returns the first
+// range error, else the context's error. After an error every range still
+// holds a consistent, exact-position state — what a final checkpoint
+// flush records — but the fold over them would be incomplete.
+func sweepRanges(eng *sweep.Engine, opts *Options, ranges []*rangeConsumer, stride int64, publish func(i int, c *rangeConsumer) error) error {
+	ctx := opts.context()
+	phases := opts.phases()
+	tracker := newProgressTracker(opts.progress(), len(ranges))
+	run := func(ctx context.Context, i int) error {
+		c := ranges[i]
+		if c.comp != nil {
+			c.comp.timing = phases
+		}
+		var pub func() error
+		if publish != nil {
+			pub = func() error { return publish(i, c) }
+		}
+		err := c.run(eng, ctx, phases, stride, pub)
+		if err == nil {
+			tracker.shardDone(ctx)
+		}
+		return err
+	}
+	if len(ranges) == 1 {
+		if err := run(ctx, 0); err != nil {
+			return err
+		}
 		return ctx.Err()
 	}
-	bounds := shardBounds(size, shards)
-	return sweepShardedFrom(eng, ctx, bounds, bounds[:shards], progress, phases, visit)
+	errs := make([]error, len(ranges))
+	mode := sweepModeLabel(eng)
+	var wg sync.WaitGroup
+	for i := range ranges {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			// Label the shard goroutine so pprof profiles break the
+			// sweep down by shard and mode.
+			pprof.Do(ctx, pprof.Labels("sweep_shard", strconv.Itoa(i), "sweep_mode", mode), func(ctx context.Context) {
+				errs[i] = run(ctx, i)
+			})
+		}(i)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return ctx.Err()
 }
 
 // sweepModeLabel names the engine's mode for the pprof labels the shard
@@ -103,48 +297,6 @@ func sweepModeLabel(eng *sweep.Engine) string {
 	default:
 		return "valuations"
 	}
-}
-
-// sweepShardedFrom is sweepSharded over explicit shard geometry: bounds
-// has len(starts)+1 entries delimiting the shards' full intervals, and
-// starts[i] ∈ [bounds[i], bounds[i+1]] is where shard i begins — equal to
-// bounds[i] on a fresh sweep, past it when resuming from a checkpoint (a
-// shard whose start has reached its upper bound is already complete and
-// is not re-entered).
-func sweepShardedFrom(eng *sweep.Engine, ctx context.Context, bounds, starts []*big.Int, progress func(done, total int), phases *PhaseTimes, visit func(shard int, cur *sweep.Cursor) bool) error {
-	shards := len(starts)
-	tracker := newProgressTracker(progress, shards)
-	if shards == 1 {
-		if err := sweepShard(eng, ctx, starts[0], bounds[1], 0, phases, visit); err != nil {
-			return err
-		}
-		tracker.shardDone(ctx)
-		return ctx.Err()
-	}
-	errs := make([]error, shards)
-	mode := sweepModeLabel(eng)
-	var wg sync.WaitGroup
-	for w := 0; w < shards; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			// Label the shard goroutine so pprof profiles break the
-			// sweep down by shard and mode.
-			pprof.Do(ctx, pprof.Labels("sweep_shard", strconv.Itoa(w), "sweep_mode", mode), func(ctx context.Context) {
-				errs[w] = sweepShard(eng, ctx, starts[w], bounds[w+1], w, phases, visit)
-			})
-			if errs[w] == nil {
-				tracker.shardDone(ctx)
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return ctx.Err()
 }
 
 // progressTracker serializes shard-completion notifications and enforces
@@ -176,99 +328,6 @@ func (t *progressTracker) shardDone(ctx context.Context) {
 	defer t.mu.Unlock()
 	t.done++
 	t.fn(t.done, t.total)
-}
-
-// finishAll reports the sweep complete in one step (used for empty spaces,
-// where there is nothing to enumerate).
-func (t *progressTracker) finishAll(ctx context.Context) {
-	if t.fn == nil || ctx.Err() != nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.done = t.total
-	t.fn(t.done, t.total)
-}
-
-// sweepShard sweeps one contiguous index interval with a fresh cursor,
-// polling ctx every cancelCheckInterval valuations. A Seek error (an
-// invalid interval) must propagate: swallowing it would turn a partial
-// sweep into a silent undercount. With phases non-nil, one visit in
-// phaseSampleStride is timed and the scaled estimate accumulated: the
-// visit goes to the dedup phase on completion sweeps (where the visit is
-// the dedup probe — the rare first-sight query evaluation inside it is
-// timed separately by the completion shard) and to the match phase
-// otherwise.
-func sweepShard(eng *sweep.Engine, ctx context.Context, lo, hi *big.Int, shard int, phases *PhaseTimes, visit func(int, *sweep.Cursor) bool) error {
-	n := new(big.Int).Sub(hi, lo)
-	if n.Sign() == 0 {
-		return nil
-	}
-	cur := eng.NewCursor()
-	if err := cur.Seek(lo); err != nil {
-		return err
-	}
-	dedupVisits := eng.Mode() == sweep.ModeCompletions
-	sinceSample := 0
-	sinceCheck := 0
-	if n.IsInt64() {
-		for remaining := n.Int64(); ; {
-			if sinceCheck++; sinceCheck >= cancelCheckInterval {
-				sinceCheck = 0
-				if ctx.Err() != nil {
-					return nil
-				}
-			}
-			if phases != nil {
-				if sinceSample++; sinceSample >= phaseSampleStride {
-					sinceSample = 0
-					t0 := time.Now()
-					ok := visit(shard, cur)
-					d := time.Since(t0)
-					if dedupVisits {
-						phases.addDedup(d, phaseSampleStride)
-					} else {
-						phases.addMatch(d, phaseSampleStride)
-					}
-					if !ok {
-						return nil
-					}
-					if remaining--; remaining == 0 {
-						return nil
-					}
-					t0 = time.Now()
-					cur.Step()
-					phases.addStep(time.Since(t0), phaseSampleStride)
-					continue
-				}
-			}
-			if !visit(shard, cur) {
-				return nil
-			}
-			if remaining--; remaining == 0 {
-				return nil
-			}
-			cur.Step()
-		}
-	}
-	// Astronomically large shards cannot terminate in practice, but stay
-	// correct: count down with a big counter.
-	one := big.NewInt(1)
-	for remaining := n; ; {
-		if sinceCheck++; sinceCheck >= cancelCheckInterval {
-			sinceCheck = 0
-			if ctx.Err() != nil {
-				return nil
-			}
-		}
-		if !visit(shard, cur) {
-			return nil
-		}
-		if remaining.Sub(remaining, one); remaining.Sign() == 0 {
-			return nil
-		}
-		cur.Step()
-	}
 }
 
 // compEntry is one distinct completion seen by a shard: its 128-bit set
@@ -341,13 +400,14 @@ func (s *completionShard) growTable() {
 
 // visit records the cursor's current completion, snapshotting it and
 // evaluating the query only the first time the completion is seen within
-// this shard. A repeat visit whose step changed no distinct fact value is
-// skipped outright via the cursor's SetGen; other repeats cost one probe
-// and one exact comparison against the cursor's incremental hashes.
-func (s *completionShard) visit(cur *sweep.Cursor) {
+// this shard, and returns the new entry (nil on a repeat). A repeat visit
+// whose step changed no distinct fact value is skipped outright via the
+// cursor's SetGen; other repeats cost one probe and one exact comparison
+// against the cursor's incremental hashes.
+func (s *completionShard) visit(cur *sweep.Cursor) *compEntry {
 	g := cur.SetGen()
 	if g == s.lastGen {
-		return
+		return nil
 	}
 	s.lastGen = g
 	h := cur.CompletionHash()
@@ -355,7 +415,7 @@ func (s *completionShard) visit(cur *sweep.Cursor) {
 	for s.table[i] >= 0 {
 		m := s.order[s.table[i]]
 		if m.hash == h && cur.EqualsSnapshot(m.snap) {
-			return
+			return nil
 		}
 		i = (i + 1) & s.mask
 	}
@@ -377,6 +437,7 @@ func (s *completionShard) visit(cur *sweep.Cursor) {
 	if 2*len(s.order) > len(s.table) {
 		s.growTable()
 	}
+	return e
 }
 
 // add inserts an existing entry unless an equal completion (by canonical
@@ -397,16 +458,6 @@ func (s *completionShard) add(e *compEntry) {
 	}
 }
 
-// restore seeds the shard's dedup state with entries rehydrated from a
-// checkpoint, marking them as already drained — a resumed shard republishes
-// only what it sees after the resume point.
-func (s *completionShard) restore(entries []*compEntry) {
-	for _, e := range entries {
-		s.add(e)
-	}
-	s.pendingFrom = len(s.order)
-}
-
 // drainPending serializes the entries first seen since the previous drain
 // and advances the watermark. Called only from the shard's own goroutine
 // (or after all shards stopped), like every other completionShard method.
@@ -423,19 +474,30 @@ func (s *completionShard) drainPending() []CompletionRecord {
 	return recs
 }
 
-// mergeCompletionShards folds the shards together in shard order (= index
-// order, since shards are contiguous), keeping each completion's
-// first-seen occurrence. The result is identical to what one serial sweep
-// would have produced.
-func mergeCompletionShards(shards []*completionShard) *completionShard {
-	if len(shards) == 1 {
-		return shards[0]
+// mergeCompletionShards folds the ranges' dedup tables together in range
+// order (= index order, since ranges are contiguous), keeping each
+// completion's first-seen occurrence. The result is identical to what one
+// serial sweep would have produced.
+func mergeCompletionShards(ranges []*rangeConsumer) *completionShard {
+	if len(ranges) == 1 {
+		return ranges[0].comp
 	}
-	merged := newCompletionShard(shards[0].keep)
-	for _, s := range shards {
-		for _, e := range s.order {
+	merged := newCompletionShard(ranges[0].comp.keep)
+	for _, r := range ranges {
+		for _, e := range r.comp.order {
 			merged.add(e)
 		}
 	}
 	return merged
+}
+
+// satisfying counts the distinct completions that satisfy the query.
+func (s *completionShard) satisfying() *big.Int {
+	n := int64(0)
+	for _, e := range s.order {
+		if e.sat {
+			n++
+		}
+	}
+	return big.NewInt(n)
 }

@@ -62,11 +62,12 @@ func sweepUntil(db *core.Database, q cq.Query, opts *Options, want bool) (sat, v
 		return false, false, nil
 	}
 	sat = !want
-	err = sweepSharded(eng, opts.context(), 1, opts.progress(), opts.phases(), func(_ int, cur *sweep.Cursor) bool {
-		sat = cur.Matches()
-		return sat != want
-	})
-	if err != nil {
+	r := freshRanges(eng, 1, false)
+	r[0].emit = func(_ *sweep.Cursor, s bool) bool {
+		sat = s
+		return s != want
+	}
+	if err := sweepRanges(eng, opts, r, 0, nil); err != nil {
 		return false, false, err
 	}
 	return sat, true, nil

@@ -1,8 +1,6 @@
 package count
 
 import (
-	"math/big"
-
 	"github.com/incompletedb/incompletedb/internal/core"
 	"github.com/incompletedb/incompletedb/internal/cq"
 	"github.com/incompletedb/incompletedb/internal/sweep"
@@ -17,8 +15,9 @@ import (
 // valuation space exactly as for BruteForceCompletions, and the context
 // in opts cancels the sweep between visits.
 //
-// Deduplication state (one 128-bit hash and canonical snapshot per
-// distinct completion seen) still grows with the number of distinct
+// It is a one-range run of the counting sweep's driver, on the same
+// dedup table. Deduplication state (one 128-bit hash and canonical
+// snapshot per distinct completion seen) still grows with the number of distinct
 // completions; what streaming avoids is holding every satisfying
 // *instance* alive at once, and — when the consumer stops early — the
 // tail of the sweep.
@@ -27,50 +26,7 @@ func StreamCompletions(db *core.Database, q cq.Query, opts *Options, fn func(*co
 	if err != nil {
 		return err
 	}
-	ctx := opts.context()
-	size := eng.Size()
-	if size.Sign() == 0 {
-		return ctx.Err()
-	}
-	cur := eng.NewCursor()
-	if err := cur.Seek(big.NewInt(0)); err != nil {
-		return err
-	}
-	// Dedup by completion hash with exact snapshot comparison on every
-	// bucket hit, exactly like the counting sweep; the first-seen order
-	// list is not kept — the consumer sees each completion once, in order,
-	// and the stream holds only the dedup table.
-	buckets := make(map[sweep.Hash128][]*sweep.Snapshot)
-	remaining := new(big.Int).Set(size)
-	one := big.NewInt(1)
-	sinceCheck := 0
-	for {
-		if sinceCheck++; sinceCheck >= cancelCheckInterval {
-			sinceCheck = 0
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		h := cur.CompletionHash()
-		bucket := buckets[h]
-		seen := false
-		for _, snap := range bucket {
-			if cur.EqualsSnapshot(snap) {
-				seen = true
-				break
-			}
-		}
-		if !seen {
-			buckets[h] = append(bucket, cur.Snapshot())
-			if cur.Matches() {
-				if !fn(cur.Instance()) {
-					return nil
-				}
-			}
-		}
-		if remaining.Sub(remaining, one); remaining.Sign() == 0 {
-			return ctx.Err()
-		}
-		cur.Step()
-	}
+	r := freshRanges(eng, 1, false)
+	r[0].emit = func(cur *sweep.Cursor, sat bool) bool { return !sat || fn(cur.Instance()) }
+	return sweepRanges(eng, opts, r, 0, nil)
 }

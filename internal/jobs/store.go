@@ -67,8 +67,10 @@ func (s *MemStore) List() ([]*Record, error) {
 }
 
 // FileStore keeps one JSON file per job under a directory (the `incdb
-// serve -jobdir` backing). Writes go through a temp file and an atomic
-// rename, so a kill -9 mid-checkpoint leaves the previous intact record.
+// serve -jobdir` backing). Writes go through a temp file that is fsynced,
+// atomically renamed over the record, and made durable by an fsync of the
+// directory, so a kill -9 or a power loss mid-checkpoint leaves either the
+// previous or the new intact record (on a filesystem that honours fsync).
 type FileStore struct {
 	dir string
 	mu  sync.Mutex
@@ -108,6 +110,9 @@ func (s *FileStore) Put(rec *Record) error {
 		return err
 	}
 	_, werr := tmp.Write(blob)
+	if werr == nil {
+		werr = tmp.Sync()
+	}
 	cerr := tmp.Close()
 	if werr != nil || cerr != nil {
 		os.Remove(tmp.Name())
@@ -116,7 +121,24 @@ func (s *FileStore) Put(rec *Record) error {
 		}
 		return cerr
 	}
-	return os.Rename(tmp.Name(), s.path(rec.ID))
+	if err := os.Rename(tmp.Name(), s.path(rec.ID)); err != nil {
+		os.Remove(tmp.Name())
+		return err
+	}
+	return syncDir(s.dir)
+}
+
+// syncDir fsyncs a directory, making a rename inside it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	serr := d.Sync()
+	if cerr := d.Close(); serr == nil {
+		serr = cerr
+	}
+	return serr
 }
 
 func (s *FileStore) Delete(id string) error {
